@@ -174,13 +174,35 @@ impl LiveFtsl {
     /// Seal the write buffer into an immutable segment; `false` when the
     /// buffer was empty.
     pub fn flush(&self) -> bool {
-        self.live.flush()
+        let flushed = self.live.flush();
+        if flushed {
+            self.release_cached_view();
+        }
+        flushed
     }
 
     /// Compact every sealed segment into one, reclaiming tombstones;
     /// `false` when there was nothing to compact.
     pub fn merge(&self) -> bool {
-        self.live.merge_all()
+        let merged = self.live.merge_all();
+        if merged {
+            self.release_cached_view();
+        }
+        merged
+    }
+
+    /// Drop the cached view of the previous version. Its snapshot can be
+    /// the last holder of segments that merges have since replaced, and
+    /// whoever releases it frees those segments' memory: releasing it here
+    /// charges that to the writer instead of the next reader. The view is
+    /// taken out under the lock and dropped after it is released.
+    fn release_cached_view(&self) {
+        let stale = self
+            .cache
+            .lock()
+            .expect("live facade cache poisoned")
+            .take();
+        drop(stale);
     }
 
     // ── snapshot reads ───────────────────────────────────────────────────
@@ -623,6 +645,24 @@ mod tests {
         live.add("invalidates");
         let s3 = live.snapshot();
         assert_ne!(s1.version(), s3.version());
+    }
+
+    #[test]
+    fn flush_and_merge_release_the_cached_view() {
+        let live = fixture();
+        let cached = |live: &LiveFtsl| live.cache.lock().unwrap().is_some();
+        let pinned = live.snapshot();
+        assert!(cached(&live));
+        assert!(live.flush(), "fixture leaves documents in the buffer");
+        assert!(!cached(&live), "flush drops the previous version's view");
+        assert_eq!(pinned.live_doc_count(), 4, "a held snapshot stays valid");
+
+        live.snapshot();
+        assert!(!live.flush(), "empty buffer");
+        assert!(cached(&live), "a no-op flush keeps the view");
+        assert!(live.merge(), "two sealed segments compact");
+        assert!(!cached(&live), "merge drops the previous version's view");
+        assert_eq!(live.search("'software'").unwrap().node_ids(), vec![0, 2]);
     }
 
     #[test]

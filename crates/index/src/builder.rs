@@ -70,9 +70,12 @@ impl IndexBuilder {
         let stats = IndexStats::compute(corpus, &lists, &any);
         // The pair auxiliary index needs this build's document frequencies
         // for its coverage cutoff — a second pass over the documents once
-        // the token lists exist. Building it here (rather than in the live
-        // layer) means every segment seal and tiered merge gets pair
-        // acceleration for free.
+        // the token lists exist. That pass gathers every frequent pair
+        // within the window into one run, sorts it by key and encodes each
+        // key's slice (O(E log E) in the E pair entries; see
+        // `crate::pair`), and it is most of the build's time. Building it
+        // here (rather than in the live layer) means every segment seal and
+        // tiered merge gets pair acceleration with no further wiring.
         let dfs: Vec<u32> = lists.iter().map(|l| l.num_entries() as u32).collect();
         let pairs = PairIndex::build(docs, &dfs, self.pairs.unwrap_or_default());
         InvertedIndex {

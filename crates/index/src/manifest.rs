@@ -49,7 +49,7 @@
 //! the old manifest or the new one, never a torn hybrid.
 
 use crate::live::{LiveConfig, LiveIndex, SealedEntry};
-use crate::persist::{self, PersistError};
+use crate::persist::{self, get_u32, take_count, PersistError};
 use crate::segment::{DeleteSet, SegmentData};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ftsl_model::{Corpus, Position, TokenId, TokenInterner};
@@ -142,18 +142,20 @@ pub fn decode_with(mut buf: impl Buf, config: LiveConfig) -> Result<LiveIndex, P
     }
     let next_global = get_u32(&mut buf)?;
     let next_segment_id = get_u64(&mut buf)?;
-    let num_segments = get_u32(&mut buf)? as usize;
+    // Per segment: id, num_docs, num_words, vocab_len, index_len.
+    let num_segments = take_count(&mut buf, 8 + 4 * 4)?;
     let mut raw: Vec<RawSegment> = Vec::with_capacity(num_segments);
     for _ in 0..num_segments {
         raw.push(decode_segment(&mut buf)?);
     }
-    let vocab_total = get_u32(&mut buf)? as usize;
+    // Per name: its length prefix.
+    let vocab_total = take_count(&mut buf, 4)?;
     let mut names = Vec::with_capacity(vocab_total);
     for _ in 0..vocab_total {
         names.push(get_str(&mut buf)?);
     }
 
-    let mut sealed = Vec::with_capacity(num_segments);
+    let mut sealed = Vec::with_capacity(raw.len());
     let mut prev_last: Option<u32> = None;
     for seg in raw {
         let entry = seg.into_entry(&names, next_global)?;
@@ -233,22 +235,24 @@ impl RawSegment {
 
 fn decode_segment(buf: &mut impl Buf) -> Result<RawSegment, PersistError> {
     let id = get_u64(buf)?;
-    let num_docs = get_u32(buf)? as usize;
-    let mut globals = Vec::with_capacity(num_docs.min(1 << 20));
+    // Per document: its global id, then `label_len` and `num_tokens`.
+    let num_docs = take_count(buf, 4 + 4 + 4)?;
+    let mut globals = Vec::with_capacity(num_docs);
     for _ in 0..num_docs {
         globals.push(get_u32(buf)?);
     }
-    let num_words = get_u32(buf)? as usize;
-    let mut delete_words = Vec::with_capacity(num_words.min(1 << 20));
+    let num_words = take_count(buf, 8)?;
+    let mut delete_words = Vec::with_capacity(num_words);
     for _ in 0..num_words {
         delete_words.push(get_u64(buf)?);
     }
     let vocab_len = get_u32(buf)? as usize;
-    let mut docs = Vec::with_capacity(num_docs.min(1 << 20));
+    let mut docs = Vec::with_capacity(num_docs);
     for _ in 0..num_docs {
         let label = get_str(buf)?;
-        let num_tokens = get_u32(buf)? as usize;
-        let mut tokens = Vec::with_capacity(num_tokens.min(1 << 20));
+        // Per token: token, offset, sentence, paragraph.
+        let num_tokens = take_count(buf, 16)?;
+        let mut tokens = Vec::with_capacity(num_tokens);
         for _ in 0..num_tokens {
             let t = TokenId(get_u32(buf)?);
             let offset = get_u32(buf)?;
@@ -322,13 +326,6 @@ impl std::fmt::Display for LoadError {
 }
 
 impl std::error::Error for LoadError {}
-
-fn get_u32(buf: &mut impl Buf) -> Result<u32, PersistError> {
-    if buf.remaining() < 4 {
-        return Err(PersistError::Truncated);
-    }
-    Ok(buf.get_u32_le())
-}
 
 fn get_u64(buf: &mut impl Buf) -> Result<u64, PersistError> {
     if buf.remaining() < 8 {

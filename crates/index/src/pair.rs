@@ -25,6 +25,29 @@
 //! touching an infrequent token is simply **not covered** and the caller
 //! must fall back to position intersection.
 //!
+//! ## Construction
+//!
+//! [`PairIndex::build`] is hash-free, in three phases over one flat run of
+//! `(key = a << 32 | b, node, gap)` records for the whole segment:
+//!
+//! 1. **Gather.** For each document, every frequent directed pair within
+//!    the window is pushed into one reused scratch vector as `(key, gap)`;
+//!    sorting it puts each key's smallest gap first, and only that entry
+//!    is appended to the run.
+//! 2. **Group.** The run is sorted by `(key, node)`, which makes each
+//!    key's entries one contiguous slice in node order.
+//! 3. **Encode.** One walk over the run hands each slice to
+//!    [`PairList::from_entries`], which sizes its buffers exactly before
+//!    writing.
+//!
+//! With `P` co-occurrences (at most `window` per token) and `E ≤ P`
+//! distinct `(pair, document)` entries, the build costs `O(P log d)` for
+//! the per-document sorts (`d` = co-occurrences in the largest document),
+//! `O(E log E)` for the grouping sort, and `O(E)` to encode, with one
+//! 16-byte run record per entry as working memory. The result is
+//! independent of the sort algorithm: keys come out in order, each list
+//! in node order, each gap the minimum.
+//!
 //! ## Physical layout
 //!
 //! Pair lists reuse the v5 bit-packed block machinery: blocks of
@@ -45,7 +68,6 @@ use crate::counters::AccessCounters;
 use crate::postings::PostingList;
 use ftsl_model::{Document, NodeId, TokenId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Fixed per-block stream overhead: the absolute base node id (4 bytes)
 /// plus the two frame widths (1 byte each).
@@ -119,56 +141,51 @@ impl PairList {
     /// Encode `(node, gap)` entries (strictly increasing node ids, every
     /// gap ≥ 1) into bit-packed blocks.
     pub fn from_entries(entries: &[(u32, u32)]) -> Self {
-        let mut out = PairList::default();
+        // Size both buffers exactly before writing: most lists hold one or
+        // two entries, so growth reallocations would dominate their cost.
+        let data_len: usize = entries
+            .chunks(BLOCK_ENTRIES)
+            .map(|chunk| {
+                let (id_width, gap_width, _) = block_widths(chunk);
+                PAIR_PREFIX_BYTES
+                    + bitpack::packed_bytes(id_width, chunk.len())
+                    + bitpack::packed_bytes(gap_width, chunk.len())
+            })
+            .sum();
+        let mut blocks = Vec::with_capacity(entries.len().div_ceil(BLOCK_ENTRIES));
+        let mut data = Vec::with_capacity(data_len);
+        // `bitpack::pack` reads only `frame[..count]`, so lanes past a
+        // short block's end are never cleared.
         let mut frame = [0u32; bitpack::LANES];
-        for chunk in entries.chunks(BLOCK_ENTRIES) {
+        for (b, chunk) in entries.chunks(BLOCK_ENTRIES).enumerate() {
             let count = chunk.len();
-            let byte_start = out.data.len() as u32;
-            let first_entry = out.entries;
-
+            let (id_width, gap_width, min_gap) = block_widths(chunk);
+            blocks.push(PairBlockMeta {
+                max_node: NodeId(chunk[count - 1].0),
+                byte_start: data.len() as u32,
+                first_entry: (b * BLOCK_ENTRIES) as u32,
+                min_gap,
+            });
+            data.extend_from_slice(&chunk[0].0.to_le_bytes());
+            data.extend_from_slice(&[id_width, gap_width]);
             // Column 1: id deltas (lane 0 is 0 — the base is absolute).
-            let mut max_delta = 0u32;
-            for (lane, pair) in frame[1..count].iter_mut().zip(chunk.windows(2)) {
-                let d = pair[1].0 - pair[0].0 - 1;
-                *lane = d;
-                max_delta = max_delta.max(d);
-            }
             frame[0] = 0;
-            for lane in &mut frame[count..] {
-                *lane = 0;
+            for (lane, pair) in frame[1..count].iter_mut().zip(chunk.windows(2)) {
+                *lane = pair[1].0 - pair[0].0 - 1;
             }
-            let id_width = bitpack::width_for(max_delta);
-
+            bitpack::pack(&frame, count, id_width, &mut data);
             // Column 2: gap − 1 (every stored gap is ≥ 1).
-            let mut min_gap = u32::MAX;
-            let mut max_gm1 = 0u32;
-            for &(_, gap) in chunk {
-                debug_assert!(gap >= 1, "pair gaps are forward distances ≥ 1");
-                min_gap = min_gap.min(gap);
-                max_gm1 = max_gm1.max(gap - 1);
-            }
-            let gap_width = bitpack::width_for(max_gm1);
-
-            out.data.extend_from_slice(&chunk[0].0.to_le_bytes());
-            out.data.extend_from_slice(&[id_width, gap_width]);
-            bitpack::pack(&frame, count, id_width, &mut out.data);
             for (lane, &(_, gap)) in frame.iter_mut().zip(chunk) {
                 *lane = gap - 1;
             }
-            for lane in &mut frame[count..] {
-                *lane = 0;
-            }
-            bitpack::pack(&frame, count, gap_width, &mut out.data);
-
-            out.entries += count as u32;
-            out.blocks.push(PairBlockMeta {
-                max_node: NodeId(chunk[count - 1].0),
-                byte_start,
-                first_entry,
-                min_gap,
-            });
+            bitpack::pack(&frame, count, gap_width, &mut data);
         }
-        out
+        debug_assert_eq!(data.len(), data_len);
+        PairList {
+            blocks,
+            data,
+            entries: entries.len() as u32,
+        }
     }
 
     /// Decode every `(node, gap)` entry (trusted bytes — lists built in
@@ -326,6 +343,25 @@ impl PairList {
             entries,
         }
     }
+}
+
+/// Frame widths of one block's two columns (id deltas, `gap − 1`) and
+/// the block's minimum gap.
+fn block_widths(chunk: &[(u32, u32)]) -> (u8, u8, u32) {
+    let max_delta = chunk
+        .windows(2)
+        .map(|pair| pair[1].0 - pair[0].0 - 1)
+        .max()
+        .unwrap_or(0);
+    let (min_gap, max_gap) = chunk.iter().fold((u32::MAX, 0), |(lo, hi), &(_, gap)| {
+        debug_assert!(gap >= 1, "pair gaps are forward distances ≥ 1");
+        (lo.min(gap), hi.max(gap))
+    });
+    (
+        bitpack::width_for(max_delta),
+        bitpack::width_for(max_gap - 1),
+        min_gap,
+    )
 }
 
 /// A forward-only, skip-aware cursor over a [`PairList`], decoding one
@@ -607,69 +643,31 @@ impl Default for PairIndex {
 impl PairIndex {
     /// Build the pair index for `docs` (ordered by node id, as the segment
     /// builder guarantees). `dfs[t]` is the document frequency of token
-    /// `t` in the same document set.
+    /// `t` in the same document set. Gathers one run of pair entries,
+    /// sorts it by key and encodes each key's slice — see the module docs
+    /// ("Construction") for the phases and their cost.
     pub fn build(docs: &[Document], dfs: &[u32], config: PairConfig) -> PairIndex {
         if config.window == 0 {
             return PairIndex::default();
         }
         let frequent: Vec<bool> = dfs.iter().map(|&df| df >= config.df_cutoff).collect();
-        let mut postings: HashMap<(u32, u32), Vec<(u32, u32)>> = HashMap::new();
-        let mut local: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut touched: Vec<(u32, u32)> = Vec::new();
-        for doc in docs {
-            local.clear();
-            touched.clear();
-            let toks = &doc.tokens;
-            for (i, &(ta, pa)) in toks.iter().enumerate() {
-                if !frequent[ta.index()] {
-                    continue;
-                }
-                for &(tb, pb) in &toks[i + 1..] {
-                    let gap = pb.offset - pa.offset;
-                    if gap > config.window {
-                        break; // offsets are strictly increasing
-                    }
-                    if !frequent[tb.index()] {
-                        continue;
-                    }
-                    let key = (ta.0, tb.0);
-                    match local.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            if gap < *e.get() {
-                                e.insert(gap);
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(gap);
-                            touched.push(key);
-                        }
-                    }
-                }
-            }
-            for &key in &touched {
-                postings
-                    .entry(key)
-                    .or_default()
-                    .push((doc.node.0, local[&key]));
-            }
+        let run = gather(docs, &frequent, config.window);
+        let mut keys = Vec::new();
+        let mut lists = Vec::new();
+        let mut posting: Vec<(u32, u32)> = Vec::new();
+        for group in run.chunk_by(|x, y| x.0 == y.0) {
+            posting.clear();
+            posting.extend(group.iter().map(|&(_, node, gap)| (node, gap)));
+            let key = group[0].0;
+            keys.push(((key >> 32) as u32, key as u32));
+            lists.push(PairList::from_entries(&posting));
         }
-        let mut keys: Vec<(u32, u32)> = postings.keys().copied().collect();
-        keys.sort_unstable();
-        let mut entries = 0u64;
-        let lists: Vec<PairList> = keys
-            .iter()
-            .map(|key| {
-                let posting = &postings[key];
-                entries += posting.len() as u64;
-                PairList::from_entries(posting)
-            })
-            .collect();
         PairIndex {
             config,
             keys,
             lists,
             frequent,
-            entries,
+            entries: run.len() as u64,
         }
     }
 
@@ -760,6 +758,41 @@ impl PairIndex {
             entries,
         })
     }
+}
+
+/// The gather and group phases of [`PairIndex::build`]: one
+/// `(key = a << 32 | b, node, min gap)` triple per directed frequent pair
+/// per containing document, sorted by `(key, node)`.
+fn gather(docs: &[Document], frequent: &[bool], window: u32) -> Vec<(u64, u32, u32)> {
+    let mut run = Vec::new();
+    let mut local: Vec<(u64, u32)> = Vec::new();
+    for doc in docs {
+        local.clear();
+        let toks = &doc.tokens;
+        for (i, &(ta, pa)) in toks.iter().enumerate() {
+            if !frequent[ta.index()] {
+                continue;
+            }
+            let high = u64::from(ta.0) << 32;
+            for &(tb, pb) in &toks[i + 1..] {
+                let gap = pb.offset - pa.offset;
+                if gap > window {
+                    break; // offsets are strictly increasing
+                }
+                if frequent[tb.index()] {
+                    local.push((high | u64::from(tb.0), gap));
+                }
+            }
+        }
+        // Smallest gap first within each key; keep only that one.
+        local.sort_unstable();
+        local.dedup_by_key(|&mut (key, _)| key);
+        run.extend(local.iter().map(|&(key, gap)| (key, doc.node.0, gap)));
+    }
+    // Each `(key, node)` occurs once, so this order is total: every key's
+    // entries end up contiguous and in ascending node order.
+    run.sort_unstable_by_key(|&(key, node, _)| (key, node));
+    run
 }
 
 /// Position-intersection oracle for the pair semantics: the minimum

@@ -80,6 +80,10 @@ const VERSION: u32 = 7;
 const LEGACY_VERSION: u32 = 5;
 /// Optional-section id of the word-pair auxiliary index.
 const SECTION_PAIRS: u32 = 1;
+/// Smallest encoded list: `entries`, `positions`, `num_blocks`, `data_len`.
+const LIST_MIN_BYTES: usize = 4 + 8 + 4 + 4;
+/// One skip header: four `u32` fields.
+const BLOCK_META_BYTES: usize = 16;
 
 /// Errors produced when decoding a persisted index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,7 +231,7 @@ pub fn decode(mut buf: impl Buf) -> Result<InvertedIndex, PersistError> {
         pos_per_entry: fields[3],
         vocabulary: fields[4],
     };
-    let num_lists = get_u32(&mut buf)? as usize;
+    let num_lists = take_count(&mut buf, LIST_MIN_BYTES)?;
     let mut blocks = Vec::with_capacity(num_lists);
     let mut lists = Vec::with_capacity(num_lists);
     for _ in 0..num_lists {
@@ -299,14 +303,15 @@ fn decode_pair_section(mut buf: &[u8]) -> Result<PairIndex, PersistError> {
     let frequent: Vec<bool> = (0..vocab)
         .map(|i| bitmap[i / 8] >> (i % 8) & 1 == 1)
         .collect();
-    let num_keys = get_u32(buf)? as usize;
+    // Per key: token_a, token_b, entries, num_blocks, data_len.
+    let num_keys = take_count(buf, 20)?;
     let mut keys = Vec::with_capacity(num_keys);
     let mut lists = Vec::with_capacity(num_keys);
     for _ in 0..num_keys {
         let a = get_u32(buf)?;
         let b = get_u32(buf)?;
         let entries = get_u32(buf)?;
-        let num_blocks = get_u32(buf)? as usize;
+        let num_blocks = take_count(buf, BLOCK_META_BYTES)?;
         let mut metas = Vec::with_capacity(num_blocks);
         for _ in 0..num_blocks {
             let max_node = NodeId(get_u32(buf)?);
@@ -340,7 +345,7 @@ fn decode_list(buf: &mut impl Buf) -> Result<BlockList, PersistError> {
         return Err(PersistError::Truncated);
     }
     let positions = buf.get_u64_le();
-    let num_blocks = get_u32(buf)? as usize;
+    let num_blocks = take_count(buf, BLOCK_META_BYTES)?;
     if num_blocks != (entries as usize).div_ceil(crate::block::BLOCK_ENTRIES) {
         return Err(PersistError::Corrupt(
             "block count disagrees with entry count",
@@ -369,11 +374,24 @@ fn decode_list(buf: &mut impl Buf) -> Result<BlockList, PersistError> {
     Ok(BlockList::from_parts(metas, data, entries, positions))
 }
 
-fn get_u32(buf: &mut impl Buf) -> Result<u32, PersistError> {
+pub(crate) fn get_u32(buf: &mut impl Buf) -> Result<u32, PersistError> {
     if buf.remaining() < 4 {
         return Err(PersistError::Truncated);
     }
     Ok(buf.get_u32_le())
+}
+
+/// Read a `u32` element count and check it against the bytes left before
+/// the caller allocates for it: every element occupies at least
+/// `min_elem_bytes` of the buffer, so a count the rest of the buffer
+/// cannot hold is [`PersistError::Truncated`] — whatever a bit flip wrote
+/// into it, decoding never reserves more than the input could describe.
+pub(crate) fn take_count(buf: &mut impl Buf, min_elem_bytes: usize) -> Result<usize, PersistError> {
+    let count = get_u32(buf)? as usize;
+    if count.saturating_mul(min_elem_bytes) > buf.remaining() {
+        return Err(PersistError::Truncated);
+    }
+    Ok(count)
 }
 
 fn get_bytes(buf: &mut impl Buf, len: usize) -> Result<Vec<u8>, PersistError> {
@@ -536,6 +554,16 @@ mod tests {
                 let _ = decode(&raw[..]); // must not panic
             }
         }
+    }
+
+    #[test]
+    fn counts_past_the_buffer_are_rejected_before_allocating() {
+        let corpus = Corpus::from_texts(&["a b c"]);
+        let bytes = encode(&IndexBuilder::new().build(&corpus));
+        // `num_token_lists` follows magic, version and five u64 stats.
+        let mut raw = bytes.as_slice().to_vec();
+        raw[48..52].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(decode(&raw[..]), Err(PersistError::Truncated)));
     }
 
     #[test]
