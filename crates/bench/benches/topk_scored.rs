@@ -36,7 +36,7 @@ fn bench_topk(c: &mut criterion::Criterion) {
     let (corpus, index, stats) = skewed_env();
     let tokens = ["rare", "common"];
     let tfidf = TfIdfModel::for_query(&tokens, &corpus, &stats);
-    let pra = PraModel::new(&corpus, &stats);
+    let pra = PraModel::for_query(&tokens, &corpus, &stats);
     let mut group = c.benchmark_group("topk_scored");
 
     // Exhaustive baselines: score everything, sort, truncate.
@@ -96,7 +96,7 @@ fn record_results() {
     let (corpus, index, stats) = skewed_env();
     let tokens = ["rare", "common"];
     let tfidf = TfIdfModel::for_query(&tokens, &corpus, &stats);
-    let pra = PraModel::new(&corpus, &stats);
+    let pra = PraModel::for_query(&tokens, &corpus, &stats);
     let mut sink = ResultsSink::new("topk_scored");
     for k in [10usize, 100] {
         for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {

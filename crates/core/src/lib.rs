@@ -219,13 +219,13 @@ impl Ftsl {
             .map_err(|e| FtslError::Internal(e.to_string()))?;
         let scored = match model {
             RankModel::TfIdf => {
-                let tokens = query_tokens(surface);
+                let tokens = surface.tokens();
                 let m = TfIdfModel::for_query(&tokens, &self.corpus, &self.stats);
                 ScoredEvaluator::new(&self.corpus, &self.index, &self.registry, &self.stats, m)
                     .rank(&alg)
             }
             RankModel::Pra => {
-                let m = PraModel::new(&self.corpus, &self.stats);
+                let m = PraModel::for_query(&surface.tokens(), &self.corpus, &self.stats);
                 ScoredEvaluator::new(&self.corpus, &self.index, &self.registry, &self.stats, m)
                     .rank(&alg)
             }
@@ -268,7 +268,7 @@ impl Ftsl {
             let spec = ftsl_exec::ScoredTopK { k };
             let streamed = match model {
                 RankModel::TfIdf => {
-                    let tokens = query_tokens(&surface);
+                    let tokens = surface.tokens();
                     let m = TfIdfModel::for_query(&tokens, &self.corpus, &self.stats);
                     executor.run_top_k(
                         &surface,
@@ -278,7 +278,7 @@ impl Ftsl {
                     )
                 }
                 RankModel::Pra => {
-                    let m = PraModel::new(&self.corpus, &self.stats);
+                    let m = PraModel::for_query(&surface.tokens(), &self.corpus, &self.stats);
                     executor.run_top_k(&surface, spec, &self.stats, &ftsl_exec::ScoreModel::Pra(&m))
                 }
             };
@@ -408,34 +408,6 @@ impl Ftsl {
         out.push_str(&format!("index: {}\n", self.index.memory_footprint()));
         Ok(out)
     }
-}
-
-/// Collect the string tokens a surface query mentions (for TF-IDF weights).
-pub(crate) fn query_tokens(surface: &ftsl_lang::SurfaceQuery) -> Vec<String> {
-    use ftsl_lang::{SurfaceQuery as S, TokenArg};
-    fn walk(q: &S, out: &mut Vec<String>) {
-        match q {
-            S::Lit(t) => out.push(t.clone()),
-            S::VarHas(_, t) => out.push(t.clone()),
-            S::Dist(a, b, _) => {
-                for arg in [a, b] {
-                    if let TokenArg::Lit(t) = arg {
-                        out.push(t.clone());
-                    }
-                }
-            }
-            S::Any | S::VarHasAny(_) | S::Pred { .. } => {}
-            S::Not(x) => walk(x, out),
-            S::And(x, y) | S::Or(x, y) => {
-                walk(x, out);
-                walk(y, out);
-            }
-            S::Some(_, x) | S::Every(_, x) => walk(x, out),
-        }
-    }
-    let mut out = Vec::new();
-    walk(surface, &mut out);
-    out
 }
 
 #[cfg(test)]

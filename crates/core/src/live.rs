@@ -11,7 +11,7 @@
 
 use crate::error::FtslError;
 use crate::results::{Ranked, SearchResults};
-use crate::{query_tokens, RankModel};
+use crate::RankModel;
 use ftsl_calculus::CalcQuery;
 use ftsl_exec::engine::{EngineKind, ExecOptions};
 use ftsl_exec::snapshot::{ExecScratch, SnapshotExecutor};
@@ -299,8 +299,9 @@ impl LiveFtsl {
         let alg = ftsl_algebra::from_calculus::query_to_algebra(&calc, &self.registry)
             .map_err(|e| FtslError::Internal(e.to_string()))?;
         let tfidf = matches!(model, RankModel::TfIdf)
-            .then(|| stats.tfidf_model(&query_tokens(surface), snapshot));
-        let pra = matches!(model, RankModel::Pra).then(|| stats.pra_model(snapshot));
+            .then(|| stats.tfidf_model(&surface.tokens(), snapshot));
+        let pra =
+            matches!(model, RankModel::Pra).then(|| stats.pra_model(&surface.tokens(), snapshot));
         let mut hits: Vec<(NodeId, f64)> = Vec::new();
         for (i, seg) in snapshot.segments().iter().enumerate() {
             let data = seg.data();
@@ -381,7 +382,7 @@ impl LiveFtsl {
             let spec = ftsl_exec::ScoredTopK { k };
             let streamed = match model {
                 RankModel::TfIdf => {
-                    let m = stats.tfidf_model(&query_tokens(&surface), &snapshot);
+                    let m = stats.tfidf_model(&surface.tokens(), &snapshot);
                     exec.run_top_k_with(
                         &surface,
                         spec,
@@ -391,7 +392,7 @@ impl LiveFtsl {
                     )
                 }
                 RankModel::Pra => {
-                    let m = stats.pra_model(&snapshot);
+                    let m = stats.pra_model(&surface.tokens(), &snapshot);
                     exec.run_top_k_with(
                         &surface,
                         spec,

@@ -199,8 +199,8 @@ fn assert_global_matches_oracle(
             let q = ftsl_lang::parse(query, ftsl_lang::Mode::Comp).unwrap();
             let live_tfidf = stats.tfidf_model(tokens, &snapshot);
             let frozen_tfidf = TfIdfModel::for_query(tokens, frozen.corpus(), &frozen_stats);
-            let live_pra = stats.pra_model(&snapshot);
-            let frozen_pra = PraModel::new(frozen.corpus(), &frozen_stats);
+            let live_pra = stats.pra_model(tokens, &snapshot);
+            let frozen_pra = PraModel::for_query(tokens, frozen.corpus(), &frozen_stats);
             for k in KS {
                 let spec = ScoredTopK { k };
                 let live = exec
@@ -239,8 +239,8 @@ fn assert_global_matches_oracle(
         }
         for query in TREE_QUERIES {
             let q = ftsl_lang::parse(query, ftsl_lang::Mode::Comp).unwrap();
-            let live_pra = stats.pra_model(&snapshot);
-            let frozen_pra = PraModel::new(frozen.corpus(), &frozen_stats);
+            let live_pra = stats.pra_model(&q.tokens(), &snapshot);
+            let frozen_pra = PraModel::for_query(&q.tokens(), frozen.corpus(), &frozen_stats);
             for k in KS {
                 let spec = ScoredTopK { k };
                 let live = exec

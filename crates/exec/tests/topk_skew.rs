@@ -109,7 +109,7 @@ fn block_max_skips_low_impact_blocks_wholesale() {
     let index = IndexBuilder::new().build(&corpus);
     let stats = ScoreStats::compute(&corpus, &index);
     let registry = PredicateRegistry::with_builtins();
-    let pra = PraModel::new(&corpus, &stats);
+    let pra = PraModel::for_query(&["hot"], &corpus, &stats);
 
     let exec = Executor::with_options(
         &corpus,
@@ -149,8 +149,8 @@ fn pra_disjunction_also_prunes_and_matches_its_oracle() {
     let registry = PredicateRegistry::with_builtins();
     let total = exhaustive_entries(&corpus, &index, &["rare", "common"]);
 
-    let pra = PraModel::new(&corpus, &stats);
     let query = parse("'rare' OR 'common'", Mode::Bool).expect("parses");
+    let pra = PraModel::for_query(&query.tokens(), &corpus, &stats);
     let oracle = run_bool_scored(&query, &corpus, &index, &stats, &pra).expect("oracle");
 
     for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
@@ -307,9 +307,9 @@ fn low_impact_segments_are_skipped_whole() {
     let snap = live.snapshot();
     assert_eq!(snap.num_segments(), 9);
     let stats = SnapshotStats::compute(&snap);
-    let pra = stats.pra_model(&snap);
     let registry = PredicateRegistry::with_builtins();
     let query = parse("'peak'", Mode::Bool).expect("parses");
+    let pra = stats.pra_model(&query.tokens(), &snap);
 
     for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
         let exec = SnapshotExecutor::with_options(
@@ -390,8 +390,8 @@ fn counters_sum_exactly_across_segments_when_nothing_prunes() {
 fn stream_tree_handles_general_bool_on_both_layouts() {
     let (corpus, index, stats) = skewed_env();
     let registry = PredicateRegistry::with_builtins();
-    let pra = PraModel::new(&corpus, &stats);
     let query = parse("('rare' AND 'common') OR NOT 'common'", Mode::Bool).expect("parses");
+    let pra = PraModel::for_query(&query.tokens(), &corpus, &stats);
     let oracle = run_bool_scored(&query, &corpus, &index, &stats, &pra).expect("oracle");
 
     let mut per_layout: Vec<Vec<(NodeId, f64)>> = Vec::new();

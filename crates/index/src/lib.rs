@@ -48,6 +48,7 @@ pub mod pair;
 pub mod persist;
 pub mod postings;
 pub mod residency;
+pub mod rows;
 pub mod scored;
 pub mod segment;
 pub mod stats;
@@ -62,6 +63,7 @@ pub use live::{LiveConfig, LiveIndex, SegmentReport, Snapshot, SnapshotSegment};
 pub use pair::{PairConfig, PairCursor, PairIndex, PairList, PairLookup};
 pub use postings::PostingList;
 pub use residency::{DecodeCacheStats, DecodedView, Residency};
+pub use rows::TermRows;
 pub use scored::{EntryScorer, ScoredBlocks, ScoredCursor, ScoredList};
 pub use segment::{DeleteFilteredCursor, DeleteSet, MemSegment, SegmentData};
 pub use stats::IndexStats;

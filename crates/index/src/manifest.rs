@@ -362,11 +362,17 @@ mod tests {
     use super::*;
     use ftsl_model::NodeId;
 
-    fn sample_live() -> LiveIndex {
-        let live = LiveIndex::with_config(LiveConfig {
+    /// No background merger: the round-trip tests compare segment layouts,
+    /// which a merge firing between decode and re-encode would change.
+    fn manual() -> LiveConfig {
+        LiveConfig {
             background_merge: false,
             ..LiveConfig::default()
-        });
+        }
+    }
+
+    fn sample_live() -> LiveIndex {
+        let live = LiveIndex::with_config(manual());
         live.add_document("usability of a software measures");
         live.add_document("software testing tools");
         live.flush();
@@ -407,10 +413,33 @@ mod tests {
     fn multi_segment_roundtrip_is_bit_identical() {
         let live = sample_live();
         let bytes = encode(&live);
-        let back = decode(bytes.clone()).expect("decode");
+        let back = decode_with(bytes.clone(), manual()).expect("decode");
         assert_same(&live, &back);
         // Encoding the reloaded index reproduces the same bytes.
         assert_eq!(encode(&back), bytes);
+    }
+
+    #[test]
+    fn default_decode_compacts_the_tombstoned_segment_in_the_background() {
+        // The sample's first segment holds 2 documents, 1 tombstoned: it
+        // meets the default `merge_tombstone_ratio` (0.5), so the merger
+        // that a default-config decode starts rewrites it.
+        let live = sample_live();
+        let back = decode(encode(&live)).expect("decode");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while back.merges_completed() == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "background merge never ran"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let snap = back.snapshot();
+        assert_eq!(snap.live_doc_count(), live.snapshot().live_doc_count());
+        assert!(
+            snap.tombstone_count() < live.snapshot().tombstone_count(),
+            "the merge drops the tombstoned document"
+        );
     }
 
     #[test]
@@ -469,7 +498,7 @@ mod tests {
         let bytes = encode(&live);
         let mut raw = bytes.to_vec();
         raw[4..8].copy_from_slice(&LEGACY_VERSION.to_le_bytes());
-        let back = decode(&raw[..]).expect("v6 manifest must still load");
+        let back = decode_with(&raw[..], manual()).expect("v6 manifest must still load");
         assert_same(&live, &back);
     }
 
@@ -491,10 +520,7 @@ mod tests {
 
     #[test]
     fn empty_live_index_roundtrips() {
-        let live = LiveIndex::with_config(LiveConfig {
-            background_merge: false,
-            ..LiveConfig::default()
-        });
+        let live = LiveIndex::with_config(manual());
         let back = decode(encode(&live)).expect("decode");
         assert_eq!(back.snapshot().num_segments(), 0);
         let n = back.add_document("first");
@@ -509,14 +535,7 @@ mod tests {
         let path = dir.join("index.ftsm");
         save(&live, &path).expect("save");
         assert!(!path.with_extension("tmp").exists(), "temp file renamed");
-        let back = load(
-            &path,
-            LiveConfig {
-                background_merge: false,
-                ..LiveConfig::default()
-            },
-        )
-        .expect("load");
+        let back = load(&path, manual()).expect("load");
         assert_same(&live, &back);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -15,8 +15,10 @@
 use crate::builder::IndexBuilder;
 use crate::counters::AccessCounters;
 use crate::index::InvertedIndex;
+use crate::rows::TermRows;
 use crate::scored::ScoredCursor;
 use ftsl_model::{Corpus, Document, NodeId, Tokenizer};
+use std::sync::OnceLock;
 
 /// A per-segment tombstone bitmap over local node ids.
 ///
@@ -134,6 +136,8 @@ pub struct SegmentData {
     /// `globals[local]` is the global node id of local node `local`;
     /// strictly ascending (segments own disjoint, ordered global ranges).
     globals: Vec<u32>,
+    /// Per-document term rows for scoring, built on first use.
+    rows: OnceLock<TermRows>,
 }
 
 impl SegmentData {
@@ -154,6 +158,7 @@ impl SegmentData {
             corpus,
             index,
             globals,
+            rows: OnceLock::new(),
         }
     }
 
@@ -176,6 +181,7 @@ impl SegmentData {
             corpus,
             index,
             globals,
+            rows: OnceLock::new(),
         }
     }
 
@@ -225,6 +231,13 @@ impl SegmentData {
     /// The document at a local node id.
     pub fn document(&self, local: usize) -> &Document {
         self.corpus.document(NodeId(local as u32))
+    }
+
+    /// The segment's per-document term rows and per-token document
+    /// frequencies, built from the corpus on the first call and shared by
+    /// every snapshot holding the segment afterwards.
+    pub fn term_rows(&self) -> &TermRows {
+        self.rows.get_or_init(|| TermRows::build(&self.corpus))
     }
 }
 

@@ -82,6 +82,35 @@ impl SurfaceQuery {
         }
     }
 
+    /// Every token literal the query mentions, in order of appearance
+    /// (repeats kept): `'t'`, `v HAS 't'` and literal `dist` arguments.
+    /// These are the only tokens a scoring model is asked about.
+    pub fn tokens(&self) -> Vec<String> {
+        fn walk(q: &SurfaceQuery, out: &mut Vec<String>) {
+            match q {
+                SurfaceQuery::Lit(t) | SurfaceQuery::VarHas(_, t) => out.push(t.clone()),
+                SurfaceQuery::Dist(a, b, _) => {
+                    for arg in [a, b] {
+                        if let TokenArg::Lit(t) = arg {
+                            out.push(t.clone());
+                        }
+                    }
+                }
+                SurfaceQuery::Any | SurfaceQuery::VarHasAny(_) | SurfaceQuery::Pred { .. } => {}
+                SurfaceQuery::Not(x) | SurfaceQuery::Some(_, x) | SurfaceQuery::Every(_, x) => {
+                    walk(x, out)
+                }
+                SurfaceQuery::And(x, y) | SurfaceQuery::Or(x, y) => {
+                    walk(x, out);
+                    walk(y, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
     /// Render back to COMP syntax.
     pub fn render(&self) -> String {
         match self {
@@ -135,6 +164,16 @@ mod tests {
         );
         let free: Vec<String> = q.free_vars().into_iter().collect();
         assert_eq!(free, vec!["p2".to_string()]);
+    }
+
+    #[test]
+    fn tokens_lists_every_literal_in_order() {
+        let q = crate::parse(
+            "'a' OR NOT dist('b', ANY, 3) AND SOME p (p HAS 'c' AND p HAS ANY) OR 'a'",
+            crate::Mode::Comp,
+        )
+        .unwrap();
+        assert_eq!(q.tokens(), ["a", "b", "c", "a"]);
     }
 
     #[test]

@@ -28,6 +28,13 @@ pub enum LangError {
     },
     /// Semantic error (unknown predicate, unbound variable, arity, ...).
     Semantic(String),
+    /// The query nests deeper than [`crate::parser::MAX_QUERY_DEPTH`].
+    TooDeep {
+        /// Token index where the limit was crossed.
+        at: usize,
+        /// The depth limit.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for LangError {
@@ -39,6 +46,9 @@ impl fmt::Display for LangError {
                 write!(f, "{construct} is not part of the {mode} language")
             }
             LangError::Semantic(msg) => write!(f, "semantic error: {msg}"),
+            LangError::TooDeep { at, limit } => {
+                write!(f, "query nests deeper than {limit} levels at token {at}")
+            }
         }
     }
 }

@@ -12,6 +12,11 @@
 //!          | PredName '(' Arg (',' Arg)* ')'
 //! Arg     := Var | Integer | StringLiteral | ANY      (dist takes tokens)
 //! ```
+//!
+//! Every pass downstream (rewriting, classification, lowering, planning,
+//! the algebra translations, even dropping the tree) recurses over the
+//! AST, so the parser refuses anything deeper than [`MAX_QUERY_DEPTH`]
+//! before it is built: no query text can exhaust a thread's stack.
 
 use crate::ast::{SurfaceQuery, TokenArg};
 use crate::error::LangError;
@@ -38,11 +43,31 @@ impl Mode {
     }
 }
 
+/// The deepest query [`parse`] accepts. Depth counts, on the longest path
+/// from the root to a literal, every operator (`AND`, `OR`, `NOT`, `SOME`,
+/// `EVERY`), every enclosing parenthesis pair and the literal itself, so
+/// both nesting (`((('a')))` is 4) and operator chains (`'a' OR 'b' OR
+/// 'c'` is a left-deep tree of depth 3) count.
+///
+/// Parsing, planning and evaluating a query take about 8.5 KB of stack
+/// per level in an unoptimized build and 1.4 KB in a release build, so a
+/// query at the limit fits a 2 MiB thread stack (the default for spawned
+/// threads, serve-pool workers included) either way.
+pub const MAX_QUERY_DEPTH: usize = 128;
+
 /// Parse `input` in the given language mode.
+///
+/// Queries deeper than [`MAX_QUERY_DEPTH`] fail with
+/// [`LangError::TooDeep`].
 pub fn parse(input: &str, mode: Mode) -> Result<SurfaceQuery, LangError> {
     let toks = lex(input)?;
-    let mut p = Parser { toks, pos: 0, mode };
-    let q = p.parse_or()?;
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        mode,
+        nesting: 0,
+    };
+    let (q, _) = p.parse_or()?;
     if p.pos != p.toks.len() {
         return Err(LangError::Parse {
             at: p.pos,
@@ -52,10 +77,15 @@ pub fn parse(input: &str, mode: Mode) -> Result<SurfaceQuery, LangError> {
     Ok(q)
 }
 
+/// Each `parse_*` method returns its subtree with the subtree's depth;
+/// `nesting` counts the levels enclosing the current position, so
+/// `nesting + depth` is the depth within the whole query, checked by
+/// [`Parser::within_limit`] as soon as a level is added.
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
     mode: Mode,
+    nesting: usize,
 }
 
 impl Parser {
@@ -88,32 +118,61 @@ impl Parser {
         }
     }
 
-    fn parse_or(&mut self) -> Result<SurfaceQuery, LangError> {
-        let mut left = self.parse_and()?;
+    /// `depth` (relative to the current nesting) if the whole query stays
+    /// within [`MAX_QUERY_DEPTH`].
+    fn within_limit(&self, depth: usize) -> Result<usize, LangError> {
+        if self.nesting + depth > MAX_QUERY_DEPTH {
+            return Err(LangError::TooDeep {
+                at: self.pos,
+                limit: MAX_QUERY_DEPTH,
+            });
+        }
+        Ok(depth)
+    }
+
+    /// Parse one level down (under `NOT`, a quantifier or a parenthesis),
+    /// refusing before recursing when that level would already be too
+    /// deep. Returns the inner subtree's depth plus this level.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<(SurfaceQuery, usize), LangError>,
+    ) -> Result<(SurfaceQuery, usize), LangError> {
+        self.within_limit(2)?;
+        self.nesting += 1;
+        let result = inner(self);
+        self.nesting -= 1;
+        let (q, depth) = result?;
+        Ok((q, depth + 1))
+    }
+
+    fn parse_or(&mut self) -> Result<(SurfaceQuery, usize), LangError> {
+        let (mut left, mut depth) = self.parse_and()?;
         while self.peek() == Some(&Tok::Or) {
             self.bump();
-            let right = self.parse_and()?;
+            let (right, d) = self.parse_and()?;
+            depth = self.within_limit(depth.max(d) + 1)?;
             left = SurfaceQuery::Or(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn parse_and(&mut self) -> Result<SurfaceQuery, LangError> {
-        let mut left = self.parse_unary()?;
+    fn parse_and(&mut self) -> Result<(SurfaceQuery, usize), LangError> {
+        let (mut left, mut depth) = self.parse_unary()?;
         while self.peek() == Some(&Tok::And) {
             self.bump();
-            let right = self.parse_unary()?;
+            let (right, d) = self.parse_unary()?;
+            depth = self.within_limit(depth.max(d) + 1)?;
             left = SurfaceQuery::And(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn parse_unary(&mut self) -> Result<SurfaceQuery, LangError> {
+    fn parse_unary(&mut self) -> Result<(SurfaceQuery, usize), LangError> {
         match self.peek() {
             Some(Tok::Not) => {
                 self.bump();
-                let inner = self.parse_unary()?;
-                Ok(SurfaceQuery::Not(Box::new(inner)))
+                let (inner, depth) = self.nested(Self::parse_unary)?;
+                Ok((SurfaceQuery::Not(Box::new(inner)), depth))
             }
             Some(Tok::Some) => {
                 if self.mode != Mode::Comp {
@@ -121,8 +180,8 @@ impl Parser {
                 }
                 self.bump();
                 let var = self.parse_var()?;
-                let inner = self.parse_unary()?;
-                Ok(SurfaceQuery::Some(var, Box::new(inner)))
+                let (inner, depth) = self.nested(Self::parse_unary)?;
+                Ok((SurfaceQuery::Some(var, Box::new(inner)), depth))
             }
             Some(Tok::Every) => {
                 if self.mode != Mode::Comp {
@@ -130,8 +189,8 @@ impl Parser {
                 }
                 self.bump();
                 let var = self.parse_var()?;
-                let inner = self.parse_unary()?;
-                Ok(SurfaceQuery::Every(var, Box::new(inner)))
+                let (inner, depth) = self.nested(Self::parse_unary)?;
+                Ok((SurfaceQuery::Every(var, Box::new(inner)), depth))
             }
             _ => self.parse_primary(),
         }
@@ -147,12 +206,12 @@ impl Parser {
         }
     }
 
-    fn parse_primary(&mut self) -> Result<SurfaceQuery, LangError> {
-        match self.bump() {
+    fn parse_primary(&mut self) -> Result<(SurfaceQuery, usize), LangError> {
+        let leaf = match self.bump() {
             Some(Tok::LParen) => {
-                let q = self.parse_or()?;
+                let q = self.nested(Self::parse_or)?;
                 self.expect(&Tok::RParen, ")")?;
-                Ok(q)
+                return Ok(q);
             }
             Some(Tok::Str(lit)) => Ok(SurfaceQuery::Lit(lit)),
             Some(Tok::Any) => Ok(SurfaceQuery::Any),
@@ -181,7 +240,8 @@ impl Parser {
                 at: self.pos.saturating_sub(1),
                 msg: format!("expected a query, found {other:?}"),
             }),
-        }
+        }?;
+        Ok((leaf, self.within_limit(1)?))
     }
 
     /// Parse `name(arg, ...)`: either DIST's `dist(tok, tok, int)` sugar or a
@@ -368,6 +428,59 @@ mod tests {
             SurfaceQuery::And(l, _) => assert!(matches!(*l, SurfaceQuery::Not(_))),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    fn depth_err(q: &str) -> bool {
+        matches!(
+            parse(q, Mode::Comp),
+            Err(LangError::TooDeep {
+                limit: MAX_QUERY_DEPTH,
+                ..
+            })
+        )
+    }
+
+    fn chain(n: usize, op: &str) -> String {
+        vec!["'a'"; n].join(op)
+    }
+
+    #[test]
+    fn nesting_and_chains_are_limited_at_exactly_the_depth_bound() {
+        let parens = |n: usize| format!("{}'a'{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse(&parens(MAX_QUERY_DEPTH - 1), Mode::Comp).is_ok());
+        assert!(depth_err(&parens(MAX_QUERY_DEPTH)));
+        for op in [" OR ", " AND "] {
+            assert!(parse(&chain(MAX_QUERY_DEPTH, op), Mode::Comp).is_ok());
+            assert!(depth_err(&chain(MAX_QUERY_DEPTH + 1, op)));
+        }
+        let nots = |n: usize| format!("{}'a'", "NOT ".repeat(n));
+        assert!(parse(&nots(MAX_QUERY_DEPTH - 1), Mode::Comp).is_ok());
+        assert!(depth_err(&nots(MAX_QUERY_DEPTH)));
+        // Levels add up across kinds: a chain under parentheses.
+        let half = MAX_QUERY_DEPTH / 2;
+        let mixed = |extra: usize| {
+            format!(
+                "{}{}{}",
+                "(".repeat(half),
+                chain(MAX_QUERY_DEPTH - half + extra, " OR "),
+                ")".repeat(half)
+            )
+        };
+        assert!(parse(&mixed(0), Mode::Comp).is_ok());
+        assert!(depth_err(&mixed(1)));
+    }
+
+    #[test]
+    fn hostile_depth_is_an_error_not_a_stack_overflow() {
+        let parens = format!("{}'a'{}", "(".repeat(20_000), ")".repeat(20_000));
+        assert!(depth_err(&parens));
+        assert!(depth_err(&chain(200_000, " OR ")));
+        assert!(depth_err(&format!("{}'a'", "NOT ".repeat(100_000))));
+        let quantifiers = format!("{}p HAS 'a'", "SOME p ".repeat(100_000));
+        assert!(depth_err(&quantifiers));
+        // A right-deep chain nests through parentheses.
+        let right_deep = format!("{}'a'{}", "'a' OR (".repeat(50_000), ")".repeat(50_000));
+        assert!(depth_err(&right_deep));
     }
 
     #[test]

@@ -109,7 +109,8 @@ mod tests {
         ]);
         let index = IndexBuilder::new().build(&corpus);
         let stats = ScoreStats::compute(&corpus, &index);
-        let model = PraModel::new(&corpus, &stats);
+        let tokens = ["software", "users", "testing", "usability"];
+        let model = PraModel::for_query(&tokens, &corpus, &stats);
         (corpus, index, stats, model)
     }
 

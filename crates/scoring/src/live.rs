@@ -10,11 +10,22 @@
 //! derives a per-segment [`ScoreStats`] from them, so every engine scores a
 //! segment's local nodes *exactly* as a monolithic index over the same live
 //! documents would: bit-identical idf, norms, and therefore scores.
+//!
+//! Nothing is recounted per version. Each sealed segment carries a
+//! [`TermRows`] table (its documents' distinct tokens with counts, plus
+//! its per-token `df`), built once on first use and shared by every later
+//! snapshot holding the segment. A version then costs one add per
+//! vocabulary entry per segment (summing `df`), one subtract per row of a
+//! tombstoned document, one `ln` per vocabulary entry (the idf table) and
+//! one multiply-add per row of every document (the norms).
+//!
+//! [`TermRows`]: ftsl_index::TermRows
 
-use crate::stats::{idf_value, ScoreStats};
+use crate::stats::{idf_table, ScoreStats};
 use crate::{PraModel, TfIdfModel};
 use ftsl_index::Snapshot;
 use ftsl_model::TokenId;
+use std::sync::Arc;
 
 /// Merged, tombstone-aware scoring statistics for one [`Snapshot`], plus
 /// the per-segment [`ScoreStats`] views the evaluators consume.
@@ -23,52 +34,47 @@ pub struct SnapshotStats {
     db_size: usize,
     /// Live document frequency by (prefix-consistent) token id, shared
     /// with every per-segment [`ScoreStats`] view (one allocation total).
-    df: std::sync::Arc<Vec<usize>>,
+    df: Arc<Vec<usize>>,
+    /// `idf_value(db_size, df[t])` by token id, computed once per version;
+    /// entries with `df = 0` are not idf values (see [`idf_table`]).
+    idf: Vec<f64>,
     per_segment: Vec<ScoreStats>,
 }
 
 impl SnapshotStats {
-    /// Compute merged statistics for a snapshot. Cost is one pass over the
-    /// segment vocabularies plus one pass over *tombstoned* documents'
-    /// tokens — live documents are never rescanned for `df`.
+    /// Compute merged statistics for a snapshot from the segments' cached
+    /// [`ftsl_index::TermRows`]: sum their `df` vectors, subtract each
+    /// tombstoned document's row, build the idf table, then derive every
+    /// node's norm from its row. Live documents are never re-tokenized or
+    /// recounted; the first call on a segment builds its rows.
     pub fn compute(snapshot: &Snapshot) -> Self {
         let db_size = snapshot.live_doc_count();
         let vocab = snapshot.widest_interner().map_or(0, |i| i.len());
         let mut df = vec![0usize; vocab];
         for seg in snapshot.segments() {
-            let data = seg.data();
-            for (t, slot) in df
-                .iter_mut()
-                .enumerate()
-                .take(data.corpus().interner().len())
-            {
-                *slot += data.index().df(TokenId(t as u32));
+            let rows = seg.data().term_rows();
+            for (slot, &d) in df.iter_mut().zip(rows.df()) {
+                *slot += d as usize;
             }
             for local in seg.deletes().iter_deleted() {
-                let doc = data.document(local);
-                let mut tokens: Vec<TokenId> = doc.tokens.iter().map(|&(t, _)| t).collect();
-                tokens.sort_unstable();
-                tokens.dedup();
-                for t in tokens {
+                for &(t, _) in rows.row(local) {
                     df[t.index()] -= 1;
                 }
             }
         }
-        let df = std::sync::Arc::new(df);
+        let idf = idf_table(db_size, &df);
+        let df = Arc::new(df);
         let per_segment = snapshot
             .segments()
             .iter()
             .map(|seg| {
-                ScoreStats::compute_with_shared_df(
-                    seg.data().corpus(),
-                    std::sync::Arc::clone(&df),
-                    db_size,
-                )
+                ScoreStats::from_rows(seg.data().term_rows(), Arc::clone(&df), &idf, db_size)
             })
             .collect();
         SnapshotStats {
             db_size,
             df,
+            idf,
             per_segment,
         }
     }
@@ -87,11 +93,10 @@ impl SnapshotStats {
     /// (including tokens that only ever appeared in tombstoned documents —
     /// a monolithic rebuild would not know them at all).
     pub fn idf_id(&self, token: TokenId) -> f64 {
-        let df = self.df_id(token);
-        if df == 0 {
+        if self.df_id(token) == 0 {
             0.0
         } else {
-            idf_value(self.db_size, df)
+            self.idf[token.index()]
         }
     }
 
@@ -106,27 +111,21 @@ impl SnapshotStats {
     /// strings resolve through the snapshot's widest vocabulary, so a token
     /// any segment ever saw gets its collection-wide idf.
     pub fn tfidf_model<S: AsRef<str>>(&self, tokens: &[S], snapshot: &Snapshot) -> TfIdfModel {
-        TfIdfModel::for_query_with_idf(tokens, |name| {
-            snapshot
-                .widest_interner()
-                .and_then(|i| i.get(name))
-                .map_or(0.0, |id| self.idf_id(id))
-        })
+        TfIdfModel::for_query_with_idf(tokens, |name| self.idf_named(name, snapshot))
     }
 
-    /// Build the PRA model from the merged statistics (idf table over the
-    /// widest vocabulary, normalized by the live collection size).
-    pub fn pra_model(&self, snapshot: &Snapshot) -> PraModel {
-        let table = snapshot
+    /// Build the query's PRA model from the merged statistics, resolving
+    /// tokens through the widest vocabulary like [`Self::tfidf_model`].
+    pub fn pra_model<S: AsRef<str>>(&self, tokens: &[S], snapshot: &Snapshot) -> PraModel {
+        PraModel::for_query_with_idf(tokens, |name| self.idf_named(name, snapshot), self.db_size)
+    }
+
+    /// Collection-wide idf of a token string (0 when no segment knows it).
+    fn idf_named(&self, name: &str, snapshot: &Snapshot) -> f64 {
+        snapshot
             .widest_interner()
-            .map(|interner| {
-                interner
-                    .iter()
-                    .map(|(id, name)| (name.to_string(), self.idf_id(id)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        PraModel::with_idf_table(table, self.db_size)
+            .and_then(|i| i.get(name))
+            .map_or(0.0, |id| self.idf_id(id))
     }
 }
 
@@ -244,10 +243,11 @@ mod tests {
         );
 
         // PRA: token probabilities agree for live and dead tokens alike.
-        let snap_pra = stats.pra_model(&snap);
-        let mono_pra = PraModel::new(&corpus, &mono);
+        let pra_q = ["alpha", "beta", "gamma", "delta", "doomed", "unseen"];
+        let snap_pra = stats.pra_model(&pra_q, &snap);
+        let mono_pra = PraModel::for_query(&pra_q, &corpus, &mono);
         use crate::ScoringModel;
-        for t in ["alpha", "beta", "gamma", "delta", "doomed", "unseen"] {
+        for t in pra_q {
             let a = snap_pra.token_tuple(t, NodeId(0), stats.segment(0));
             let b = mono_pra.token_tuple(t, NodeId(0), &mono);
             assert_eq!(a.to_bits(), b.to_bits(), "pra({t})");

@@ -20,23 +20,37 @@ pub struct PraModel {
 }
 
 impl PraModel {
-    /// Build the model over a corpus.
-    pub fn new(corpus: &ftsl_model::Corpus, stats: &ScoreStats) -> Self {
-        let idf_lookup = corpus
-            .interner()
-            .iter()
-            .map(|(id, name)| (name.to_string(), stats.idf(id)))
-            .collect();
-        Self::with_idf_table(idf_lookup, stats.db_size)
+    /// Build the model for a query's search tokens over a corpus. Only
+    /// those tokens are looked up ([`ScoringModel::token_tuple`] is never
+    /// asked about any other), so the cost follows the query, not the
+    /// vocabulary.
+    pub fn for_query<S: AsRef<str>>(
+        tokens: &[S],
+        corpus: &ftsl_model::Corpus,
+        stats: &ScoreStats,
+    ) -> Self {
+        Self::for_query_with_idf(
+            tokens,
+            |name| corpus.token_id(name).map_or(0.0, |id| stats.idf(id)),
+            stats.db_size,
+        )
     }
 
-    /// Build the model from a precomputed `token → idf` table and a
-    /// collection size — how a live snapshot supplies collection-wide
-    /// values spanning every segment's vocabulary.
-    pub fn with_idf_table(
-        idf_lookup: std::collections::HashMap<String, f64>,
+    /// Build the model from an arbitrary idf source and a collection size —
+    /// how a live snapshot supplies collection-wide values spanning every
+    /// segment's vocabulary.
+    pub fn for_query_with_idf<S: AsRef<str>>(
+        tokens: &[S],
+        idf_of: impl Fn(&str) -> f64,
         db_size: usize,
     ) -> Self {
+        let idf_lookup = tokens
+            .iter()
+            .map(|t| {
+                let name = t.as_ref();
+                (name.to_string(), idf_of(name))
+            })
+            .collect();
         PraModel {
             max_idf: (1.0 + db_size as f64).ln(),
             idf_lookup,
@@ -111,7 +125,8 @@ mod tests {
         let corpus = Corpus::from_texts(&["a b", "a", "c d e"]);
         let index = IndexBuilder::new().build(&corpus);
         let stats = ScoreStats::compute(&corpus, &index);
-        let model = PraModel::new(&corpus, &stats);
+        let tokens: Vec<&str> = corpus.interner().iter().map(|(_, name)| name).collect();
+        let model = PraModel::for_query(&tokens, &corpus, &stats);
         (corpus, stats, model)
     }
 
@@ -127,6 +142,15 @@ mod tests {
         assert!(
             model.token_tuple("c", NodeId(2), &stats) > model.token_tuple("a", NodeId(0), &stats)
         );
+    }
+
+    #[test]
+    fn tokens_outside_the_query_score_zero() {
+        let (corpus, stats, _) = model();
+        let model = PraModel::for_query(&["a", "zzz"], &corpus, &stats);
+        assert!(model.token_tuple("a", NodeId(0), &stats) > 0.0);
+        assert_eq!(model.token_tuple("zzz", NodeId(0), &stats), 0.0);
+        assert_eq!(model.token_tuple("c", NodeId(2), &stats), 0.0);
     }
 
     #[test]

@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn pra_scores_stay_probabilities_through_operators() {
         let (corpus, index, reg, stats) = setup();
-        let model = PraModel::new(&corpus, &stats);
+        let model = PraModel::for_query(&["usability", "test"], &corpus, &stats);
         let ev = ScoredEvaluator::new(&corpus, &index, &reg, &stats, model);
         let distance = reg.lookup("distance").unwrap();
         let e = project_nodes(select(
@@ -344,7 +344,7 @@ mod tests {
     #[test]
     fn union_and_difference_scores() {
         let (corpus, index, reg, stats) = setup();
-        let model = PraModel::new(&corpus, &stats);
+        let model = PraModel::for_query(&["usability", "test"], &corpus, &stats);
         let ev = ScoredEvaluator::new(&corpus, &index, &reg, &stats, model);
         let u = ev
             .eval(&union(token("usability"), token("usability")))

@@ -1,6 +1,6 @@
 //! Corpus statistics needed by the scoring formulas of Section 3.1.
 
-use ftsl_index::InvertedIndex;
+use ftsl_index::{InvertedIndex, TermRows};
 use ftsl_model::{Corpus, NodeId, TokenId};
 use std::sync::Arc;
 
@@ -27,61 +27,60 @@ pub struct ScoreStats {
 
 impl ScoreStats {
     /// Compute statistics for a corpus and its index.
+    ///
+    /// Everything derives from the corpus's [`TermRows`] (built here and
+    /// dropped afterwards) through the same routine a live snapshot uses
+    /// per segment, so the static and live paths cannot drift apart.
     pub fn compute(corpus: &Corpus, index: &InvertedIndex) -> Self {
-        let vocab = corpus.interner().len();
-        let df: Vec<usize> = (0..vocab).map(|t| index.df(TokenId(t as u32))).collect();
-        Self::compute_with_df(corpus, df, corpus.len())
+        let rows = TermRows::build(corpus);
+        let df: Vec<usize> = rows.df().iter().map(|&d| d as usize).collect();
+        debug_assert!(
+            df.iter()
+                .enumerate()
+                .all(|(t, &d)| index.df(TokenId(t as u32)) == d),
+            "index df disagrees with the corpus"
+        );
+        let idf = idf_table(corpus.len(), &df);
+        Self::from_rows(&rows, Arc::new(df), &idf, corpus.len())
     }
 
-    /// [`Self::compute_with_df`] over an already-shared `df` vector (no
-    /// copy — every per-segment view of a live snapshot holds the same
-    /// allocation).
-    pub fn compute_with_shared_df(corpus: &Corpus, df: Arc<Vec<usize>>, db_size: usize) -> Self {
-        Self::compute_inner(corpus, df, db_size)
-    }
-
-    /// Compute per-node statistics for `corpus` against *externally
-    /// supplied* collection-level numbers: `df` by token id (may be longer
-    /// than the corpus vocabulary) and `db_size`.
+    /// Per-node statistics for the documents of `rows` against
+    /// collection-level numbers: `df` and `idf` by token id (both may be
+    /// longer than the rows' vocabulary; `idf` is [`idf_table`] of `df`)
+    /// and `db_size`.
     ///
     /// This is how one segment of a live index gets statistics that are
     /// correct for the *whole* collection: token ids are prefix-consistent
-    /// across segments, so the global live `df` vector indexes directly,
-    /// and every `unique_tokens`/`‖n‖₂` value comes out exactly as a
-    /// monolithic index over the same live documents would compute it.
-    /// Documents whose tokens have `df = 0` (possible only for tombstoned
-    /// documents, whose tokens may survive nowhere) get an infinite norm —
-    /// harmless, since nothing live ever reads their rows.
-    pub fn compute_with_df(corpus: &Corpus, df: Vec<usize>, db_size: usize) -> Self {
-        Self::compute_inner(corpus, Arc::new(df), db_size)
-    }
-
-    fn compute_inner(corpus: &Corpus, df: Arc<Vec<usize>>, db_size: usize) -> Self {
-        let num_docs = corpus.len();
-        let vocab = corpus.interner().len();
-        debug_assert!(df.len() >= vocab, "df vector must cover the vocabulary");
-
+    /// across segments, so the merged `df` vector indexes directly, and
+    /// since each row lists a document's tokens in first-occurrence order,
+    /// every `unique_tokens`/`‖n‖₂` value comes out bit-identical to a
+    /// monolithic index over the same live documents. Documents whose
+    /// tokens have `df = 0` (possible only for tombstoned documents, whose
+    /// tokens may survive nowhere) get an infinite norm — harmless, since
+    /// nothing live ever reads their rows. Cost: one multiply-add per row.
+    pub(crate) fn from_rows(
+        rows: &TermRows,
+        df: Arc<Vec<usize>>,
+        idf: &[f64],
+        db_size: usize,
+    ) -> Self {
+        debug_assert!(
+            idf.len() >= rows.df().len(),
+            "idf must cover the vocabulary"
+        );
+        let num_docs = rows.num_docs();
         let mut unique_tokens = Vec::with_capacity(num_docs);
         let mut l2_norm = Vec::with_capacity(num_docs);
         let mut max_node_boost = 0.0f64;
-        let mut counts: Vec<u32> = vec![0; vocab];
-        let mut touched: Vec<TokenId> = Vec::new();
-        for doc in corpus.documents() {
-            for &(t, _) in &doc.tokens {
-                if counts[t.index()] == 0 {
-                    touched.push(t);
-                }
-                counts[t.index()] += 1;
-            }
-            let unique = touched.len().max(1);
+        for doc in 0..num_docs {
+            let row = rows.row(doc);
+            let unique = row.len().max(1);
             let mut sum_sq = 0.0;
-            for &t in &touched {
-                let tf = f64::from(counts[t.index()]) / unique as f64;
-                let idf = idf_value(db_size, df[t.index()]);
-                sum_sq += (tf * idf) * (tf * idf);
-                counts[t.index()] = 0;
+            for &(t, count) in row {
+                let tf = f64::from(count) / unique as f64;
+                let w = tf * idf[t.index()];
+                sum_sq += w * w;
             }
-            touched.clear();
             unique_tokens.push(unique);
             let norm = if sum_sq > 0.0 { sum_sq.sqrt() } else { 1.0 };
             l2_norm.push(norm);
@@ -135,6 +134,14 @@ impl ScoreStats {
 
 pub(crate) fn idf_value(db_size: usize, df: usize) -> f64 {
     (1.0 + db_size as f64 / df as f64).ln()
+}
+
+/// [`idf_value`] for every token id, taken as is: `df = 0` entries come out
+/// infinite (or NaN when `db_size` is 0 too), which is what the norm of a
+/// tombstoned document holding a token no live document has always used.
+/// Readers of a *token's* idf must map `df = 0` to 0 themselves.
+pub(crate) fn idf_table(db_size: usize, df: &[usize]) -> Vec<f64> {
+    df.iter().map(|&d| idf_value(db_size, d)).collect()
 }
 
 #[cfg(test)]

@@ -128,7 +128,7 @@ proptest! {
         let index = IndexBuilder::new().build(&corpus);
         let reg = PredicateRegistry::with_builtins();
         let stats = ScoreStats::compute(&corpus, &index);
-        let model = ftsl_scoring::PraModel::new(&corpus, &stats);
+        let model = ftsl_scoring::PraModel::for_query(&[VOCAB[t1], VOCAB[t2]], &corpus, &stats);
         let distance = reg.lookup("distance").unwrap();
         let expr = project_nodes(select(
             join(token(VOCAB[t1]), token(VOCAB[t2])),

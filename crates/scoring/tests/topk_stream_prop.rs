@@ -143,7 +143,7 @@ proptest! {
     ) {
         let tokens: Vec<&str> = token_idx.iter().map(|&i| VOCAB[i]).collect();
         let (index, stats) = setup(&corpus);
-        let model = PraModel::new(&corpus, &stats);
+        let model = PraModel::for_query(&tokens, &corpus, &stats);
         let query = tokens
             .iter()
             .map(|t| SurfaceQuery::Lit(t.to_string()))
@@ -166,7 +166,7 @@ proptest! {
         k in 1usize..8,
     ) {
         let (index, stats) = setup(&corpus);
-        let model = PraModel::new(&corpus, &stats);
+        let model = PraModel::for_query(&query.tokens(), &corpus, &stats);
         let oracle = run_bool_scored(&query, &corpus, &index, &stats, &model).expect("oracle");
         for layout in LAYOUTS {
             let got = run_bool_topk(&query, &corpus, &index, &stats, &model, layout, k)

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== scored BOOL merge engine (Section 5.3) ==");
     let q = parse("'usability' OR 'software'", Mode::Bool).expect("parses");
-    let pra = PraModel::new(engine.corpus(), &stats);
+    let pra = PraModel::for_query(&q.tokens(), engine.corpus(), &stats);
     let scored =
         run_bool_scored(&q, engine.corpus(), engine.index(), &stats, &pra).expect("bool query");
     for (node, score) in &scored {
